@@ -3,9 +3,9 @@ package aec
 import (
 	"fmt"
 
+	"aecdsm/internal/lockmgr"
 	"aecdsm/internal/mem"
 	"aecdsm/internal/proto"
-	"aecdsm/internal/recover"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/trace"
@@ -25,10 +25,10 @@ func (pr *AEC) Acquire(c *proto.Ctx, lock int) {
 	if pr.e.Tracer != nil {
 		ev := trace.Ev(c.P.Clock, c.ID, trace.KindLockRequest)
 		ev.Lock = lock
-		ev.Arg = int64(pr.mgrOf(lock))
+		ev.Arg = int64(pr.MgrOf(lock))
 		pr.e.Tracer.Trace(ev)
 	}
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kAcqReq, 8,
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kAcqReq, 8,
 		acqReq{lock: lock}, pr.handleAcqReq)
 
 	// Overlap window: apply pushed diffs for this lock to valid pages,
@@ -219,46 +219,16 @@ func (pr *AEC) overlapUnit(c *proto.Ctx, st *procState, lock int) bool {
 // handleAcqReq is the lock manager's service routine for ownership
 // requests.
 func (pr *AEC) handleAcqReq(s *sim.Svc, m *sim.Msg) {
-	req := m.Payload.(acqReq)
-	l := pr.locks[req.lock]
-	s.ChargeList(l.pred.RequestElems())
-	if l.held {
-		if pr.rep != nil {
-			pr.rep.Ship(s, pr.nprocs, kRepLog,
-				recover.Record{Lock: req.lock, Op: recover.OpEnqueue, Proc: m.From})
-		}
-		l.pred.Enqueue(m.From)
-		return
-	}
-	pr.grantLock(s, req.lock, m.From, false)
+	pr.HandleRequest(s, m.Payload.(acqReq).lock, m.From)
 }
 
-// grantLock hands the lock to proc, computing its update set (LAP) and
-// telling it how to bring its memory up to date. fromQueue marks grants
-// that consumed a queued waiter (the release path), which the replication
-// log must know to replay the queue removal at failover.
-func (pr *AEC) grantLock(s *sim.Svc, lock, to int, fromQueue bool) {
-	l := pr.locks[lock]
-	prev := l.lastReleaser
-	l.pred.Granted(to, prev)
-	var us []int
-	if pr.opt.UseLAP {
-		us = l.pred.UpdateSet(to)
-		s.ChargeList(len(us) + 1)
-	}
-	if pr.rep != nil {
-		pr.rep.Ship(s, pr.nprocs, kRepLog,
-			recover.Record{Lock: lock, Op: recover.OpGrant, Proc: to, FromQueue: fromQueue,
-				Count: l.acqCount + 1, US: append([]int(nil), us...)})
-	}
-	l.held = true
-	l.holder = to
-	l.acqCount++
-	l.curGrantCount = l.acqCount
-	l.curUS = us
-
+// sendGrant hands the lock to its new holder with the chain state it
+// needs: the update set computed for its release (LAP) and how to bring
+// its memory up to date.
+func (pr *AEC) sendGrant(s *sim.Svc, lock int, l *lockmgr.Lock) {
+	to := l.Holder
 	inUS := false
-	for _, q := range l.lastUS {
+	for _, q := range l.LastUS {
 		if q == to {
 			inUS = true
 			break
@@ -266,19 +236,18 @@ func (pr *AEC) grantLock(s *sim.Svc, lock, to int, fromQueue bool) {
 	}
 	g := grantMsg{
 		lock:         lock,
-		lastReleaser: l.lastReleaser,
-		lastCount:    l.lastCount,
-		myCount:      l.acqCount,
+		lastReleaser: l.LastReleaser,
+		lastCount:    l.LastCount,
+		myCount:      l.Count,
 		inUS:         inUS,
-		us:           us,
+		us:           l.US,
 	}
-	size := 24 + 8*len(us)
-	if !inUS && l.lastReleaser >= 0 && l.lastReleaser != to {
-		g.invPages = append([]int(nil), l.cumPages...)
+	g.invPages = append([]int(nil), l.CumPages...)
+	size := 24 + 8*len(l.US)
+	if !inUS && l.LastReleaser >= 0 && l.LastReleaser != to {
+		// Outside the update set: the page list must cross the wire.
 		size += 8 * len(g.invPages)
 		s.ChargeList(len(g.invPages))
-	} else {
-		g.invPages = append([]int(nil), l.cumPages...)
 	}
 	s.Send(to, kAcqGrant, size, g, pr.handleGrant)
 }
@@ -407,8 +376,8 @@ func (pr *AEC) Release(c *proto.Ctx, lock int) {
 
 	// Tell the manager we are giving up ownership.
 	pr.lockf("p%d release lock %d count %d pages %d", c.ID, lock, myCount, len(pages))
-	pr.e.SendFrom(c.P, stats.Synch, pr.mgrOf(lock), kRel, 8+8*len(pages),
-		relMsg{lock: lock, count: myCount, step: st.step, pages: pages}, pr.handleRel)
+	pr.e.SendFrom(c.P, stats.Synch, pr.MgrOf(lock), kRel, 8+8*len(pages),
+		relMsg{lock: lock, step: st.step, pages: pages}, pr.handleRel)
 
 	// Unprotect pages modified outside the CS and not inside it; their
 	// speculative outside diffs are discarded and twins reutilized. Only
@@ -476,38 +445,15 @@ func (pr *AEC) handlePush(s *sim.Svc, m *sim.Msg) {
 // empty.
 func (pr *AEC) handleRel(s *sim.Svc, m *sim.Msg) {
 	r := m.Payload.(relMsg)
-	l := pr.locks[r.lock]
 	s.ChargeList(1 + len(r.pages))
-	lastUS, cumPages := l.curUS, r.pages
+	// The manager journals this RESULTING chain state, not the message:
+	// replaying "r.step == pr.bar.seq" later would consult the wrong
+	// barrier phase.
+	lastUS, cumPages := pr.Lock(r.lock).US, r.pages
 	if r.step != pr.bar.seq {
 		lastUS, cumPages = nil, nil
 	}
-	if pr.rep != nil {
-		// The record carries the RESULTING chain state, not the message:
-		// replaying "r.step == pr.bar.seq" later would consult the wrong
-		// barrier phase (recover package comment).
-		pr.rep.Ship(s, pr.nprocs, kRepLog,
-			recover.Record{Lock: r.lock, Op: recover.OpRelease, Proc: m.From, Count: r.count,
-				US: append([]int(nil), lastUS...), Pages: append([]int(nil), cumPages...)})
-	}
-	l.held = false
-	l.holder = -1
-	l.lastReleaser = m.From
-	l.lastCount = r.count
-	l.lastUS = lastUS
-	l.cumPages = cumPages
-	// Hand the lock on per the grant policy. GrantElems is 0 for the
-	// head-popping disciplines, so the default charges nothing extra.
-	s.ChargeList(l.pred.GrantElems())
-	if pk := l.pred.PickNext(m.From); pk.Proc >= 0 {
-		if pk.Bypassed > 0 {
-			s.P.Stats.GrantBypasses++
-		}
-		if pk.Renewal {
-			s.P.Stats.LeaseRenewals++
-		}
-		pr.grantLock(s, r.lock, pk.Proc, true)
-	}
+	pr.HandleRelease(s, r.lock, m.From, lastUS, cumPages)
 }
 
 // fetchLockDiffs synchronously fetches merged diffs for the given pages

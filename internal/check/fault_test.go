@@ -134,9 +134,11 @@ func TestCrashSchedulesAgree(t *testing.T) {
 }
 
 // TestCrashFailoverFires pins the mechanism, not just the outcome: under
-// a mid-run crash of a manager node, every DSM protocol must actually
-// take the failover path (crash counted, replication log non-empty) and
-// still produce the fault-free answer.
+// a mid-run crash of a manager node, every DSM protocol variant must
+// actually take the failover path (crash counted, replication log
+// non-empty) and still produce the fault-free answer. The variants cover
+// both grant branches of the shared lock manager: with an update set
+// (AEC, Munin+LAP) and without (AEC-noLAP, TM, TM-LH, Munin).
 func TestCrashFailoverFires(t *testing.T) {
 	w := Generate(2, 0)
 	clean := apps.NewSynth(w.Cfg)
@@ -144,7 +146,8 @@ func TestCrashFailoverFires(t *testing.T) {
 	want := clean.FinalChecksum()
 
 	fc := mustSpec(t, "crash=5@9000000:500000", 7)
-	for _, k := range []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoTM, harness.ProtoMunin} {
+	for _, k := range []harness.ProtocolKind{harness.ProtoAEC, harness.ProtoAECNoLAP, harness.ProtoTM,
+		harness.ProtoTMLH, harness.ProtoMunin, harness.ProtoMuninLAP} {
 		prog := apps.NewSynth(w.Cfg)
 		res := harness.RunFaultTraced(w.Params(), harness.NewProtocol(k, 2), prog, nil, fc)
 		if res.Deadlocked || res.VerifyErr != nil {

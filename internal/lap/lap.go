@@ -187,7 +187,7 @@ func (p *Predictor) QueueLen() int { return p.queue.Len() }
 
 // RecoverReset discards the waiting queue and replaces it with a fresh
 // one under the same policy. It is the first step of the crash-failover
-// replay (internal/recover): the crashed manager's queue is gone, and the
+// replay (internal/lockmgr): the crashed manager's queue is gone, and the
 // backup rebuilds it record by record with RecoverEnqueue/RecoverRemove.
 // The predictor's own knowledge — virtual queue, affinity matrix, pending
 // prediction, statistics — is NOT reset: prediction state is piggybacked

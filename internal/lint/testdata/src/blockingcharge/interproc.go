@@ -1,9 +1,8 @@
 // interproc holds the shapes only the flow-sensitive, interprocedural v2
 // can see: the load hides behind a lookup helper, the publication hides
 // behind a helper that writes through its parameter, or the staleness
-// only exists on a loop back edge. The syntactic v1 (kept as
-// BlockingchargeSyntactic) misses every positive here — the
-// demonstrability test in lint_test.go pins that.
+// only exists on a loop back edge. A source-order, same-function scan
+// misses every positive here; the want comments pin what v2 reports.
 package blockingcharge
 
 import (

@@ -117,7 +117,7 @@ type Queue interface {
 	// Remove deletes the named waiter as if PickNext had chosen it,
 	// updating the same bookkeeping (bypass counts of earlier arrivals,
 	// lease tenure). It exists for the crash-failover replay
-	// (internal/recover): the replication log records WHICH waiter each
+	// (internal/lockmgr): the replication log records WHICH waiter each
 	// historical grant served, so the replay must reproduce that exact
 	// removal rather than re-run the policy's choice against
 	// possibly-changed oracle state. Returns false when proc is not

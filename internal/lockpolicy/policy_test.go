@@ -294,7 +294,7 @@ func TestNoLostWakeupsAllPolicies(t *testing.T) {
 	}
 }
 
-// TestRemoveReplaysPick: the failover-replay contract (internal/recover).
+// TestRemoveReplaysPick: the failover-replay contract (internal/lockmgr).
 // A replica queue fed Enqueue(p) / Remove(pick.Proc) in the order the live
 // queue performed Enqueue / PickNext must end up in an indistinguishable
 // state: same waiters, same bypass pressure, same lease tenure — proven by

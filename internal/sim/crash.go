@@ -14,7 +14,7 @@ package sim
 //   - At the crash instant the engine runs the protocols' OnCrash hooks,
 //     which scrub the node's volatile protocol state and atomically
 //     rebuild the managed-lock portion from the replication log
-//     (internal/recover). Scrub and rebuild are one step because a local
+//     (internal/lockmgr). Scrub and rebuild are one step because a local
 //     send never crosses the transport (msg.go): a crashed node can still
 //     talk to itself, so its manager state must never be observably
 //     half-dead.

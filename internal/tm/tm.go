@@ -21,12 +21,9 @@ import (
 	"math/bits"
 	"sort"
 
-	"aecdsm/internal/lap"
-	"aecdsm/internal/lockpolicy"
+	"aecdsm/internal/lockmgr"
 	"aecdsm/internal/mem"
-	"aecdsm/internal/memsys"
 	"aecdsm/internal/proto"
-	"aecdsm/internal/recover"
 	"aecdsm/internal/sim"
 	"aecdsm/internal/stats"
 	"aecdsm/internal/topo"
@@ -77,7 +74,7 @@ type tmProc struct {
 
 	grant      *grantMsg
 	barOut     bool
-	stashVC    []int // acquirer vc stashed at the manager while queued
+	stashVC    []int // acquirer vc stashed at the manager until its grant
 	lastBarSeq int   // own interval seq at the last barrier
 
 	// Combining-tree aggregation state (tree-mode barriers only): the
@@ -315,18 +312,6 @@ type barRelease struct {
 	vc  []int
 }
 
-// lockState is the manager-side lock record. pred is a passive Lock
-// Acquirer Prediction instance: TreadMarks never pushes updates, but the
-// paper's §5.1 robustness study measures LAP accuracy under TreadMarks to
-// show the technique is protocol-independent, so the manager records the
-// same grant stream AEC's managers would see.
-type lockState struct {
-	held         bool
-	holder       int
-	lastReleaser int
-	pred         *lap.Predictor
-}
-
 // TM is the protocol instance.
 type TM struct {
 	// hybrid enables the Lazy Hybrid variation (Dwarkadas et al.),
@@ -340,7 +325,12 @@ type TM struct {
 	ctxs []*proto.Ctx
 	ps   []*tmProc
 
-	locks []*lockState
+	// Manager is the lock manager of every lock variable; TM supplies the
+	// grant routing through the last releaser. Its LAP predictors are
+	// passive: TreadMarks never pushes updates, but the paper's §5.1
+	// robustness study measures LAP accuracy under TreadMarks to show the
+	// technique is protocol-independent.
+	*lockmgr.Manager
 
 	bar struct {
 		got int
@@ -366,12 +356,6 @@ type TM struct {
 	// acquirer recycles it at the end of Acquire. Entries are pointer-
 	// free (wnRef is three ints), so truncation is a full reset.
 	wnFree [][]wnRef
-
-	// rep is the lock-manager replication log, armed only when the fault
-	// schedule contains crashes (docs/ROBUSTNESS.md); failoverCost holds
-	// the crash-instant failover work until the restart charge.
-	rep          *recover.Replicator
-	failoverCost map[int]uint64
 }
 
 // New builds a TreadMarks protocol instance.
@@ -416,55 +400,25 @@ func (pr *TM) Attach(e *sim.Engine, s *mem.Space, ctxs []*proto.Ctx) {
 			history:   make(map[int][]wnRef),
 		}
 	}
-	pol, err := lockpolicy.Parse(e.Params.LockPolicy)
-	if err != nil {
-		panic("tm: " + err.Error())
-	}
-	pr.locks = make([]*lockState, pr.numLocks)
-	for i := range pr.locks {
-		p := lap.New(pr.nprocs, 2)
-		p.SetPolicy(pol)
-		if e.Tracer != nil {
-			p.Tracer, p.Lock, p.Mgr, p.Clock = e.Tracer, i, pr.mgrOf(i), e.Now
-		}
-		pr.locks[i] = &lockState{holder: -1, lastReleaser: -1, pred: p}
-	}
+	// Crash tolerance (docs/ROBUSTNESS.md): only the lock managers get
+	// replicated state. No page copies are invalidated at a crash, unlike
+	// AEC: TreadMarks' consistency information (intervals, write notices,
+	// lazily created diffs) is woven through every processor's volatile
+	// state, and there is no degraded-mode fetch path equivalent to AEC's
+	// LAP fallback to absorb a surgically destroyed copy. Interval stores
+	// and stashed vector clocks ride the same stable-storage fiction as
+	// the replication journal.
+	pr.Manager = lockmgr.New(e, pr.numLocks, lockmgr.Config{
+		Ns: 2, LogKind: kRepLog, Grant: pr.routeGrant,
+	})
 	pr.bar.vc = make([]int, pr.nprocs)
 	pr.bar.arr = make([]bool, pr.nprocs)
-	// Crash tolerance: replicate lock-manager actions and fail managers
-	// over at crashes (internal/tm/recover.go).
-	if e.Faults != nil && e.Faults.HasCrashes() {
-		pr.rep = recover.NewReplicator()
-		pr.failoverCost = map[int]uint64{}
-		e.OnCrash(pr.onCrash)
-		e.OnRestart(pr.onRestart)
-	}
-}
-
-// mgrOf returns the managing processor of a lock: round-robin as in
-// TreadMarks, or hash-sharded under the scaling architecture
-// (docs/SCALING.md).
-func (pr *TM) mgrOf(lock int) int {
-	if pr.e.Params.ShardManagers {
-		return memsys.ShardAssign(lock, pr.nprocs)
-	}
-	return lock % pr.nprocs
 }
 
 const barMgr = 0
 
 // Done implements proto.Protocol.
 func (pr *TM) Done(c *proto.Ctx) {}
-
-// NumLocks returns the number of lock variables managed.
-func (pr *TM) NumLocks() int { return len(pr.locks) }
-
-// LockLAP returns the passive LAP statistics recorded at the lock's
-// manager (the paper's §5.1 cross-protocol robustness measurement).
-func (pr *TM) LockLAP(lock int) lap.Stats { return pr.locks[lock].pred.Stats }
-
-// Notice implements proto.Protocol: TreadMarks has no virtual queues.
-func (pr *TM) Notice(c *proto.Ctx, lock int) {}
 
 // closeInterval ends the current interval if it modified anything,
 // recording the twins for lazy diffing.
